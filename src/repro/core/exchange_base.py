@@ -29,10 +29,9 @@ from repro.core.comm_plan import BufferPool, RankPlan
 from repro.faults.injector import FAULTS, RetryExhaustedError
 from repro.md.atoms import Atoms
 from repro.md.domain import Domain
-from repro.obs.metrics import METRICS
 from repro.obs.telemetry import TELEMETRY
-from repro.obs.trace import NULL_SPAN, TRACER
-from repro.runtime.transport import SentMessage
+from repro.obs.trace import TRACER
+from repro.runtime.transport import MessageBatch, SentMessage, observe_messages
 from repro.runtime.world import RankContext, World
 
 
@@ -120,10 +119,10 @@ class GhostExchange:
         self._pools: dict[int, BufferPool] = {}
         self._model_cache: dict = {}
         self._plan_builds = 0
+        # Executed phases by the path that moved their data: the plan
+        # replay, or the mailbox/ring path an armed fault plane selects.
         self._fastpath_phases = 0
-        # Phases the _fastpath_ok gate sent down the slow path, by cause
-        # (telemetry feed; the always-on plane itself never gates).
-        self._gate_blocks = {"observability": 0, "faults": 0}
+        self._slowpath_phases = 0
         # Direct-delivery wiring (built with the plans): every send
         # segment resolved to its destination slice, so a replayed phase
         # is pure slice copies with no per-message mailbox traffic.
@@ -162,9 +161,6 @@ class GhostExchange:
 
     def _phase_span(self, phase: str):
         """Trace span wrapping one communication phase of this pattern."""
-        if not TRACER.enabled:
-            # Skip even the span-argument construction on the hot path.
-            return NULL_SPAN
         return TRACER.span(
             f"{self.name}.{phase}", cat="comm", track="comm", pattern=self.name, phase=phase
         )
@@ -238,7 +234,7 @@ class GhostExchange:
         self._fwd_deliveries = fwd
         self._rev_deliveries = rev
 
-    def _phase_messages(self, phase: str, vec: bool, forward: bool) -> list:
+    def _phase_messages(self, phase: str, vec: bool, forward: bool) -> MessageBatch:
         """The phase's :class:`SentMessage` records, built once per plan.
 
         The fast path replays identical traffic every step between
@@ -266,16 +262,24 @@ class GhostExchange:
                             phase,
                         )
                     )
-            self._phase_msgs[key] = msgs
+            msgs = self._phase_msgs[key] = MessageBatch(msgs)
         return msgs
 
-    def _record_phase_traffic(self, log, msgs: list) -> None:
-        """Append one replayed phase's records to the traffic log."""
+    def _record_replay(self, phase: str, vec: bool, forward: bool) -> None:
+        """Account one replayed phase as the messages it stands for.
+
+        The seed's exact per-message records go to the traffic log and
+        feed the per-message trace instants and metrics, so observing a
+        replayed phase never changes how it runs.
+        """
+        batch = self._phase_messages(phase, vec, forward)
+        log = self.world.transport.log
         if log.max_messages is None:
-            log.messages.extend(msgs)
+            log.messages.extend(batch.msgs)
         else:
-            for m in msgs:
+            for m in batch.msgs:
                 log.record(m)
+        observe_messages(batch)
 
     def plan_stats(self) -> dict[str, int]:
         """Allocation/reuse counters of the plan cache and buffer pools."""
@@ -283,7 +287,7 @@ class GhostExchange:
         return {
             "plan_builds": self._plan_builds,
             "fastpath_phases": self._fastpath_phases,
-            "slowpath_phases": sum(self._gate_blocks.values()),
+            "slowpath_phases": self._slowpath_phases,
             "pool_allocations": sum(p.allocations for p in pools),
             "pool_grow_events": sum(p.grow_events for p in pools),
             "pool_bytes": sum(p.nbytes for p in pools),
@@ -403,42 +407,48 @@ class GhostExchange:
     def _fastpath_ok(self) -> bool:
         """Whether the pooled zero-copy replay may run.
 
-        An armed fault plane or a **heavyweight** observability session
-        (the per-event tracer or the per-message metrics registry) takes
-        the slow path, which produces bit-identical data through the
-        full bookkeeping.  A session with neither message nor RDMA
-        faults armed cannot touch the data plane (network-kind faults
+        Only an armed message or RDMA fault plane takes the mailbox/ring
+        path, whose per-message envelopes and ring cursors are what the
+        faults perturb; it produces bit-identical data.  A session with
+        neither armed cannot touch the data plane (network-kind faults
         only price modeled time, which is simulated separately), so the
         fast path stays on — the faults-off guard measures this idle
         cost.
 
-        The always-on telemetry plane (:data:`~repro.obs.telemetry
-        .TELEMETRY`) is deliberately **not** consulted: it is fed from
-        the counters this class already maintains, once per step, so
-        live percentiles and the flight recorder coexist with the full
-        speedup (the ``telemetry-overhead`` bench guard enforces <5%
-        wall).  Gate refusals are counted per cause for that same feed.
+        Observation never selects the path: the tracer and the metrics
+        registry read the replay's own per-phase records, and the
+        always-on telemetry plane reads the counters this class already
+        maintains once per step.
         """
         session = FAULTS.session
-        if session is not None and (session.message_faults or session.rdma_faults):
-            self._gate_blocks["faults"] += 1
-            return False
-        if TRACER.enabled or METRICS.enabled:
-            self._gate_blocks["observability"] += 1
-            return False
-        return True
+        return session is None or not (session.message_faults or session.rdma_faults)
 
-    # Subclasses may override for staged execution or RDMA data planes.
+    def _replayable(self, phase: str, forward: bool) -> bool:
+        """Label ``phase`` and count it once, under the path that runs it."""
+        self.world.transport.set_phase(phase)
+        if self._fastpath_ok():
+            self._plans_current()
+            if (self._fwd_deliveries if forward else self._rev_deliveries) is not None:
+                self._fastpath_phases += 1
+                return True
+        self._slowpath_phases += 1
+        return False
+
+    # Subclasses may override for staged execution; the *_slow halves for
+    # other data planes (RDMA).
     def _forward_array(
         self, arrays: dict[int, np.ndarray], apply_shift: bool, phase: str
     ) -> None:
+        if self._replayable(phase, forward=True):
+            self._forward_fast(arrays, apply_shift, phase)
+        else:
+            self._forward_slow(arrays, apply_shift, phase)
+
+    def _forward_slow(
+        self, arrays: dict[int, np.ndarray], apply_shift: bool, phase: str
+    ) -> None:
+        """Per-route mailbox forward: the path armed fault planes take."""
         transport = self.world.transport
-        transport.set_phase(phase)
-        if self._fastpath_ok():
-            self._plans_current()
-            if self._fwd_deliveries is not None:
-                self._forward_fast(arrays, apply_shift, phase, transport)
-                return
         for rank in range(self.world.size):
             data = arrays[rank]
             for route in self.routes[rank].sends:
@@ -454,22 +464,14 @@ class GhostExchange:
                 data[lo : lo + n] = payload
 
     def _forward_fast(
-        self,
-        arrays: dict[int, np.ndarray],
-        apply_shift: bool,
-        phase: str,
-        transport,
-        record: bool = True,
+        self, arrays: dict[int, np.ndarray], apply_shift: bool, phase: str
     ) -> None:
         """Pooled replay of the forward stage: one gather, direct copies.
 
         Each rank's send rows are gathered into its pooled buffer by one
         ``np.take``; the pre-wired deliveries then copy every packed
         slice straight into the receiver's ghost rows (same bytes the
-        mailbox round trip would move, none of its bookkeeping).  The
-        traffic log still receives the seed's exact per-message records
-        (``record=False`` for the RDMA plane, whose PUTs are not logged
-        messages in the first place).
+        mailbox round trip would move, none of its bookkeeping).
         """
         plans = self._plans
         size = self.world.size
@@ -480,22 +482,19 @@ class GhostExchange:
             else plans[rank].pack_scalar(arrays[rank])
             for rank in range(size)
         ]
-        if record:
-            self._record_phase_traffic(
-                transport.log, self._phase_messages(phase, vec, forward=True)
-            )
+        self._record_replay(phase, vec, forward=True)
         for src, s, e, dst, lo, hi in self._fwd_deliveries:
             arrays[dst][lo:hi] = bufs[src][s:e]
-        self._fastpath_phases += 1
 
     def _reverse_sum_array(self, arrays: dict[int, np.ndarray], phase: str) -> None:
+        if self._replayable(phase, forward=False):
+            self._reverse_fast(arrays, phase)
+        else:
+            self._reverse_slow(arrays, phase)
+
+    def _reverse_slow(self, arrays: dict[int, np.ndarray], phase: str) -> None:
+        """Per-route mailbox reverse: the path armed fault planes take."""
         transport = self.world.transport
-        transport.set_phase(phase)
-        if self._fastpath_ok():
-            self._plans_current()
-            if self._rev_deliveries is not None:
-                self._reverse_fast(arrays, phase, transport)
-                return
         plans = self._plans_current()
         for rank in range(self.world.size):
             data = arrays[rank]
@@ -514,17 +513,14 @@ class GhostExchange:
                 for route in self.routes[rank].sends
             ]
             # Apply through the shared fused plan scatter so slow-path
-            # (faulted/observed) sums stay bit-identical to the fast path.
+            # (faulted) sums stay bit-identical to the fast path.
             plan = plans[rank]
             buf = plan.unpack_buffer(vec=data.ndim == 2)
             for seg, payload in zip(plan.send_segments, received):
                 buf[seg.start : seg.stop] = payload
             plan.apply_reverse(data, buf)
 
-    def _reverse_fast(
-        self, arrays: dict[int, np.ndarray], phase: str, transport,
-        record: bool = True,
-    ) -> None:
+    def _reverse_fast(self, arrays: dict[int, np.ndarray], phase: str) -> None:
         """Pooled replay of the reverse stage with a fused scatter-add.
 
         Every ghost slice is copied straight into its owner's pooled
@@ -537,15 +533,11 @@ class GhostExchange:
         size = self.world.size
         vec = arrays[0].ndim == 2
         bufs = [plans[rank].unpack_buffer(vec) for rank in range(size)]
-        if record:
-            self._record_phase_traffic(
-                transport.log, self._phase_messages(phase, vec, forward=False)
-            )
+        self._record_replay(phase, vec, forward=False)
         for src, lo, hi, dst, s, e in self._rev_deliveries:
             bufs[dst][s:e] = arrays[src][lo:hi]
         for rank in range(size):
             plans[rank].apply_reverse(arrays[rank], bufs[rank])
-        self._fastpath_phases += 1
 
     # -- migration -------------------------------------------------------------
     def exchange(self) -> None:

@@ -95,18 +95,13 @@ class FineGrainedP2PExchange(P2PExchange):
         """LPT-balance this rank's forward sends over the comm threads.
 
         Thread *t* drives the VCQ bound to TNI *t* (fine binding of
-        Fig. 7), so the TNI index equals the thread index.  With
-        observability off the schedule is served from the plan-epoch
-        cache (it only depends on the routes); tracing/metrics runs
-        always recompute so spans and counters stay complete.
+        Fig. 7), so the TNI index equals the thread index.  The schedule
+        only depends on the routes, so it is computed — traced and
+        counted — once per plan epoch and served from the cache after.
         """
-        cache_ok = not TRACER.enabled and not METRICS.enabled
-        if cache_ok:
-            cached = self._sched_cache.get((rank, bytes_per_atom))
-            if cached is not None:
-                return cached
-            out = self._assign_threads_impl(rank, bytes_per_atom)
-            self._sched_cache[(rank, bytes_per_atom)] = out
+        key = (rank, bytes_per_atom)
+        out = self._sched_cache.get(key)
+        if out is not None:
             return out
         routes = self.routes[rank].sends
         with TRACER.span(
@@ -114,14 +109,12 @@ class FineGrainedP2PExchange(P2PExchange):
             rank=rank, n_messages=len(routes),
         ):
             out = self._assign_threads_impl(rank, bytes_per_atom)
+        self._sched_cache[key] = out
         if METRICS.enabled:
             METRICS.counter("comm_schedules_total").inc()
-            loads = [0.0] * self.n_comm_threads
-            for a in out:
-                loads[a.thread] += self.message_cost(a.nbytes, a.hops)
-            mean = sum(loads) / len(loads)
-            if mean > 0:
-                METRICS.gauge("comm_thread_balance").set(max(loads) / mean)
+            METRICS.gauge("comm_thread_balance").set(
+                self.balance_quality(rank, bytes_per_atom)
+            )
         return out
 
     def _assign_threads_impl(

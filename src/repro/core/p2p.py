@@ -43,6 +43,7 @@ from repro.faults.injector import FAULTS, RetryExhaustedError
 from repro.machine.rdma import RdmaEngine
 from repro.md.domain import Domain
 from repro.obs import hbevents
+from repro.obs.metrics import METRICS
 from repro.obs.trace import TRACER
 from repro.runtime.world import World
 
@@ -208,10 +209,14 @@ class P2PExchange(GhostExchange):
         self._clear_routes()
         for rank in range(world.size):
             self.atoms_of(rank).clear_ghosts()
-        # With faults/observability off, border payloads skip the send
-        # envelope (rank checks, fault arming, per-message instants) but
-        # keep the identical traffic records.
+        # Without an armed fault plane, border payloads skip the send
+        # envelope (rank checks, fault arming) but keep the identical
+        # traffic records and their observation.
         fast = self._fastpath_ok()
+        if fast:
+            self._fastpath_phases += 1
+        else:
+            self._slowpath_phases += 1
 
         # Send sweep: every rank routes its border atoms to each
         # send-offset neighbor (bin-accelerated when exact).
@@ -298,160 +303,151 @@ class P2PExchange(GhostExchange):
         In hardware this rides in the border-stage descriptor (8 bytes);
         functionally we move a :class:`RemoteWindow` per route.
         """
-        if not TRACER.enabled:
-            self._exchange_windows_impl()
-            return
+        transport = self.world.transport
+        transport.set_phase("border-piggyback")
         with TRACER.span(
             f"{self.name}.window-piggyback", cat="rdma", track="comm", pattern=self.name
         ):
-            self._exchange_windows_impl()
-
-    def _exchange_windows_impl(self) -> None:
-        transport = self.world.transport
-        transport.set_phase("border-piggyback")
-        for rank in range(self.world.size):
-            endpoint = self.endpoints[rank]
-            for n_idx, route in enumerate(self.routes[rank].recvs):
-                window = endpoint.window_for_neighbor(
-                    n_idx, route.recv_start * 3
-                )
-                transport.send(
-                    rank, route.peer, route.tag + ("window",), (n_idx, window)
-                )
-        for rank in range(self.world.size):
-            endpoint = self.endpoints[rank]
-            for s_idx, route in enumerate(self.routes[rank].sends):
-                n_idx, window = self._recv(
-                    transport, rank, route.peer, route.tag + ("window",)
-                )
-                # Keyed by *our* send index; remembers the neighbor's ring
-                # index so reverse-stage puts target the right ring.
-                endpoint.install_remote(s_idx, window)
-                endpoint.remote_ring_index = getattr(
-                    endpoint, "remote_ring_index", {}
-                )
-                endpoint.remote_ring_index[s_idx] = n_idx
+            for rank in range(self.world.size):
+                endpoint = self.endpoints[rank]
+                for n_idx, route in enumerate(self.routes[rank].recvs):
+                    window = endpoint.window_for_neighbor(
+                        n_idx, route.recv_start * 3
+                    )
+                    transport.send(
+                        rank, route.peer, route.tag + ("window",), (n_idx, window)
+                    )
+            for rank in range(self.world.size):
+                endpoint = self.endpoints[rank]
+                for s_idx, route in enumerate(self.routes[rank].sends):
+                    n_idx, window = self._recv(
+                        transport, rank, route.peer, route.tag + ("window",)
+                    )
+                    # Keyed by *our* send index; remembers the neighbor's
+                    # ring index so reverse-stage puts target the right ring.
+                    endpoint.install_remote(s_idx, window)
+                    endpoint.remote_ring_index = getattr(
+                        endpoint, "remote_ring_index", {}
+                    )
+                    endpoint.remote_ring_index[s_idx] = n_idx
 
     # -- data planes --------------------------------------------------------------------
-    def _forward_array(self, arrays, apply_shift: bool, phase: str) -> None:
-        if self.rdma and apply_shift and phase == "forward":
-            # Unobserved replay: a windowed PUT lands the packed slice at
-            # exactly ``recv_start`` rows of the remote position array —
-            # the pre-wired direct delivery writes the same bytes to the
-            # same rows, so the staged-buffer/ring machinery (which only
-            # *observably* differs under faults, tracing or metrics) is
-            # skipped.  RDMA PUTs are not logged messages, hence no
-            # traffic records.
-            if self._fastpath_ok():
-                self._plans_current()
-                if self._fwd_deliveries is not None:
-                    self.world.transport.set_phase(phase)
-                    self._forward_fast(
-                        arrays, apply_shift, phase, self.world.transport,
-                        record=False,
-                    )
-                    return
+    # The plan replay serves the RDMA plane too: a windowed PUT lands the
+    # packed slice at exactly ``recv_start`` rows of the remote position
+    # array, and the ring round trip moves each ghost block byte-for-byte
+    # into the owner's pooled buffer — the pre-wired direct deliveries
+    # write the same bytes, so the staged-buffer/ring machinery below
+    # runs only under an armed fault plane.
+    def _rdma_phase(self, phase: str) -> bool:
+        return self.rdma and phase in ("forward", "reverse")
+
+    def _record_replay(self, phase: str, vec: bool, forward: bool) -> None:
+        """RDMA phases move PUTs, not logged messages: observe them as such."""
+        if not self._rdma_phase(phase):
+            super()._record_replay(phase, vec, forward)
+        elif forward:
+            self._observe_puts()
+
+    def _forward_slow(self, arrays, apply_shift: bool, phase: str) -> None:
+        if self._rdma_phase(phase):
             self._forward_rdma()
-            return
-        super()._forward_array(arrays, apply_shift, phase)
+        else:
+            super()._forward_slow(arrays, apply_shift, phase)
+
+    def _reverse_slow(self, arrays, phase: str) -> None:
+        if self._rdma_phase(phase):
+            self._reverse_rdma()
+        else:
+            super()._reverse_slow(arrays, phase)
 
     def _forward_rdma(self) -> None:
         """Forward positions by direct PUT into remote position arrays."""
-        self.world.transport.set_phase("forward")
-        if not TRACER.enabled:
-            self._forward_rdma_impl()
-            return
         with TRACER.span(
             f"{self.name}.forward-rdma", cat="rdma", track="comm", pattern=self.name
         ):
-            self._forward_rdma_impl()
-
-    def _forward_rdma_impl(self) -> None:
-        # One pooled gather per rank replaces the per-route fancy-index
-        # temporaries; put_positions copies the segment into the staged
-        # send buffer, so the pool is free for reuse immediately.  The
-        # packed values are bit-identical to the per-route form.
-        plans = self._plans_current()
-        for rank in range(self.world.size):
-            endpoint = self.endpoints[rank]
-            atoms = self.atoms_of(rank)
-            plan = plans[rank]
-            buf = plan.pack_vec(atoms.x, apply_shift=True)
-            for s_idx, seg in enumerate(plan.send_segments):
-                endpoint.put_positions(s_idx, buf[seg.start : seg.stop])
-        # A PUT completes remotely only after the fence: poll until
-        # every in-flight (fault-deferred) forward PUT has landed.
-        self._rdma_fence("forward")
-        self._fastpath_phases += 1
-
-    def _reverse_sum_array(self, arrays, phase: str) -> None:
-        if self.rdma and phase == "reverse":
-            # Same replay argument as forward: the ring round trip moves
-            # each ghost block byte-for-byte into the owner's pooled
-            # buffer and applies the shared fused scatter; the direct
-            # delivery is that copy without the ring bookkeeping.
-            if self._fastpath_ok():
-                self._plans_current()
-                if self._rev_deliveries is not None:
-                    self.world.transport.set_phase(phase)
-                    self._reverse_fast(
-                        arrays, phase, self.world.transport, record=False
-                    )
-                    return
-            self._reverse_rdma()
-            return
-        super()._reverse_sum_array(arrays, phase)
+            # One pooled gather per rank replaces the per-route
+            # fancy-index temporaries; put_positions copies the segment
+            # into the staged send buffer, so the pool is free for reuse
+            # immediately.  The packed values are bit-identical to the
+            # per-route form.
+            plans = self._plans_current()
+            for rank in range(self.world.size):
+                endpoint = self.endpoints[rank]
+                plan = plans[rank]
+                buf = plan.pack_vec(self.atoms_of(rank).x, apply_shift=True)
+                for s_idx, seg in enumerate(plan.send_segments):
+                    endpoint.put_positions(s_idx, buf[seg.start : seg.stop])
+            # A PUT completes remotely only after the fence: poll until
+            # every in-flight (fault-deferred) forward PUT has landed.
+            self._rdma_fence("forward")
 
     def _reverse_rdma(self) -> None:
         """Reverse forces via length-prefixed PUTs into receive rings."""
-        self.world.transport.set_phase("reverse")
-        if not TRACER.enabled:
-            self._reverse_rdma_impl()
-            return
         with TRACER.span(
             f"{self.name}.reverse-rdma", cat="rdma", track="comm", pattern=self.name
         ):
-            self._reverse_rdma_impl()
+            plans = self._plans_current()
+            # Ghost holders put into the owners' rings...
+            for rank in range(self.world.size):
+                endpoint = self.endpoints[rank]
+                atoms = self.atoms_of(rank)
+                for r_idx, route in enumerate(self.routes[rank].recvs):
+                    # Our recv offset index r_idx pairs with the owner's
+                    # send route of the opposite offset; the owner consumes
+                    # rings in its own send order, so target the ring it
+                    # will read.
+                    ring = self.endpoints[route.peer].recv_rings[
+                        self._owner_ring_index(route.peer, rank, route.tag)
+                    ]
+                    lo, n = route.recv_start, route.recv_count
+                    endpoint.put_into_ring(r_idx, ring, atoms.f[lo : lo + n])
+            # ... and the owners drain them in deterministic order,
+            # collecting each route's block into the pooled buffer and
+            # applying one fused scatter — the same summation the message
+            # plane uses, so both planes stay bitwise identical.
+            for rank in range(self.world.size):
+                endpoint = self.endpoints[rank]
+                plan = plans[rank]
+                buf = plan.unpack_buffer(vec=True)
+                for seg, route in zip(plan.send_segments, self.routes[rank].sends):
+                    ring = endpoint.recv_rings[
+                        self._owner_ring_index(rank, route.peer, route.tag)
+                    ]
+                    data = self._consume_ring(ring, rank, route)
+                    forces = split(data, trailing_shape=(3,))
+                    if forces.shape[0] != route.count:
+                        raise RuntimeError(
+                            f"reverse payload of {forces.shape[0]} rows does not "
+                            f"match {route.count} border atoms"
+                        )
+                    buf[seg.start : seg.stop] = forces
+                plan.apply_reverse(self.atoms_of(rank).f, buf)
 
-    def _reverse_rdma_impl(self) -> None:
-        plans = self._plans_current()
-        # Ghost holders put into the owners' rings...
-        for rank in range(self.world.size):
-            endpoint = self.endpoints[rank]
-            atoms = self.atoms_of(rank)
-            for r_idx, route in enumerate(self.routes[rank].recvs):
-                owner_endpoint = self.endpoints[route.peer]
-                # Our recv offset index r_idx pairs with the owner's send
-                # route of the opposite offset; the owner consumes rings in
-                # its own send order, so target the ring it will read.
-                ring = owner_endpoint.recv_rings[
-                    self._owner_ring_index(route.peer, rank, route.tag)
-                ]
-                lo, n = route.recv_start, route.recv_count
-                endpoint.put_into_ring(r_idx, ring, atoms.f[lo : lo + n])
-        # ... and the owners drain them in deterministic order, collecting
-        # each route's block into the pooled buffer and applying one fused
-        # scatter — the same summation the message plane uses, so both
-        # planes stay bitwise identical.
-        for rank in range(self.world.size):
-            endpoint = self.endpoints[rank]
-            atoms = self.atoms_of(rank)
-            plan = plans[rank]
-            buf = plan.unpack_buffer(vec=True)
-            for seg, route in zip(plan.send_segments, self.routes[rank].sends):
-                ring = endpoint.recv_rings[
-                    self._owner_ring_index(rank, route.peer, route.tag)
-                ]
-                data = self._consume_ring(ring, rank, route)
-                forces = split(data, trailing_shape=(3,))
-                if forces.shape[0] != route.count:
-                    raise RuntimeError(
-                        f"reverse payload of {forces.shape[0]} rows does not "
-                        f"match {route.count} border atoms"
-                    )
-                buf[seg.start : seg.stop] = forces
-            plan.apply_reverse(atoms.f, buf)
-        self._fastpath_phases += 1
+    def _observe_puts(self) -> None:
+        """Observe a replayed forward phase as the windowed PUTs it stands for.
+
+        Every delivery is one PUT into the receiver's registered position
+        array at the piggybacked ghost offset, landing at once (the
+        replay runs with no fault plane armed): an ``hb-put``/``hb-land``
+        pair for the race detector plus the ``rdma_puts_total`` /
+        ``rdma_put_bytes_total`` metrics, as :meth:`RdmaEngine.put`
+        records them.  The events are built once per plan.
+        """
+        if not (TRACER.enabled or METRICS.enabled):
+            return
+        cached = self._phase_msgs.get("rdma-puts")
+        if cached is None:
+            puts = [
+                (f"rank{src}", f"stag{self.endpoints[dst].x_region.stag}", 3 * lo, 3 * (hi - lo))
+                for src, _, _, dst, lo, hi in self._fwd_deliveries
+            ]
+            cached = (hbevents.landed_puts(puts), len(puts), 8 * sum(p[3] for p in puts))
+            self._phase_msgs["rdma-puts"] = cached
+        events, n_puts, n_bytes = cached
+        hbevents.emit_events(events)
+        if METRICS.enabled:
+            METRICS.counter("rdma_puts_total").inc(n_puts)
+            METRICS.counter("rdma_put_bytes_total").inc(n_bytes)
 
     # -- RDMA-plane robustness (fence + ring retry) ---------------------------
     def _rdma_fence(self, stage: str) -> None:

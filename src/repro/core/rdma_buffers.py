@@ -30,7 +30,7 @@ import numpy as np
 from repro.core.ghost import GhostBudget
 from repro.machine.rdma import MemoryRegion, RdmaEngine
 from repro.obs import hbevents
-from repro.obs.metrics import METRICS, OCCUPANCY_BUCKETS
+from repro.obs.metrics import METRICS
 
 
 class BufferOverwriteError(RuntimeError):
@@ -79,9 +79,7 @@ class RecvBufferRing:
         """
         idx = self._write_cursor
         if METRICS.enabled:
-            METRICS.histogram(
-                "recv_ring_occupancy", buckets=OCCUPANCY_BUCKETS
-            ).observe(self.outstanding())
+            METRICS.histogram("recv_ring_occupancy").add(self.outstanding())
         if self._dirty[idx]:
             hbevents.emit_write(self.rank, f"ring{self.ring_id}/slot{idx}", ok=False)
             raise BufferOverwriteError(

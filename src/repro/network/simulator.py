@@ -34,7 +34,7 @@ from repro.faults.injector import FAULTS
 from repro.machine.params import FUGAKU, MachineParams
 from repro.network.events import Resource
 from repro.network.stacks import SoftwareStack, UtofuStack
-from repro.obs.metrics import HOP_BUCKETS, METRICS
+from repro.obs.metrics import METRICS
 from repro.obs.trace import TRACER
 
 
@@ -148,7 +148,7 @@ def simulate_round(
         wire_messages += n_wire
 
         if metrics_on:
-            METRICS.histogram("message_hops", buckets=HOP_BUCKETS).observe(msg.hops)
+            METRICS.histogram("message_hops").add(msg.hops)
 
         # VCQ switch: a thread moving to a different TNI's VCQ pays extra
         # software overhead (descriptor cache, function-call chain).

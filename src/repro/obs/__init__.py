@@ -5,7 +5,7 @@ One observability layer under every account the repository keeps:
 * :mod:`repro.obs.trace` — span/event tracer over two timelines (wall
   clock and simulated machine), attributed by rank/thread/TNI/stage/
   phase, a no-op when disabled.
-* :mod:`repro.obs.metrics` — counters, gauges, and fixed-bucket
+* :mod:`repro.obs.metrics` — counters, gauges, and quantile-sketch
   histograms (message sizes, hops, RDMA registrations, receive-ring
   occupancy, per-TNI busy time, injections).
 * :mod:`repro.obs.export` — Chrome trace-event JSON, viewable in
@@ -26,8 +26,9 @@ One observability layer under every account the repository keeps:
   counters/gauges fed from fast-path bookkeeping, mergeable quantile
   sketches (p50/p95/p99 without samples), a bounded flight-recorder
   ring dumped on terminal failures, and an OpenMetrics exporter
-  (``python -m repro telemetry``).  Unlike the tracer and the metrics
-  registry, telemetry never disables the exchange fast path.
+  (``python -m repro telemetry``).  No tier changes how the exchange
+  moves data: the tracer and the metrics registry observe the fast
+  path's own per-phase records.
 * :mod:`repro.obs.rankprof` / :mod:`repro.obs.scaling` /
   :mod:`repro.obs.diag` — the fourth tier, the **scaling observatory**:
   critical-path attribution at *rank* granularity (per-rank × per-phase

@@ -30,7 +30,9 @@ Resource keys: ``stag{N}`` for registered memory regions (element
 ranges ``[lo, lo+n)``), ``ring{id}/slot{k}`` for ring slots, and the
 bare ``ring{id}`` for a deferred ring PUT whose slot is only chosen when
 it lands.  Put ids are per-resource sequence numbers, so land events
-pair with their put deterministically across replays.
+pair with their put deterministically across replays; the exchange's
+plan replay draws its ids once per plan (:func:`landed_puts`) and
+re-emits them every step.
 """
 
 from __future__ import annotations
@@ -72,6 +74,31 @@ def emit_put(rank: int, res: str, lo: int, n: int, inflight: bool) -> int:
         res=res, lo=lo, n=n, put=pid, inflight=int(inflight),
     )
     return pid
+
+
+def landed_puts(puts: list[tuple[str, str, int, int]]) -> list[tuple[str, str, dict]]:
+    """``hb-put``/``hb-land`` pairs for PUTs ``(track, res, lo, n)`` that
+    land at once, ready for :func:`emit_events`.
+
+    Ids come from the same per-resource sequences as :func:`emit_put`,
+    drawn when the pairs are built.  The exchange's plan replay builds
+    them once per plan and re-emits the same pairs every step: each PUT
+    lands before the next is issued, so a reused id is never in flight
+    twice.
+    """
+    events: list[tuple[str, str, dict]] = []
+    for track, res, lo, n in puts:
+        pid = _next_put_id(res)
+        events.append(
+            ("hb-put", track, {"res": res, "lo": lo, "n": n, "put": pid, "inflight": 0})
+        )
+        events.append(("hb-land", NIC_TRACK, {"res": res, "lo": lo, "n": n, "put": pid}))
+    return events
+
+
+def emit_events(events: list[tuple[str, str, dict]]) -> None:
+    """Emit prebuilt ``(name, track, args)`` happens-before instants."""
+    TRACER.instant_batch(HB_CAT, events)
 
 
 def emit_land(res: str, lo: int, n: int, put: int) -> None:

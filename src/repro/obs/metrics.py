@@ -1,4 +1,4 @@
-"""Metrics registry: counters, gauges, and fixed-bucket histograms.
+"""Metrics registry: counters, gauges, and quantile-sketch histograms.
 
 The quantitative companions to the tracer's timelines — the distributions
 and totals the paper's analysis keeps coming back to:
@@ -14,6 +14,10 @@ and totals the paper's analysis keeps coming back to:
 * ``injections_total`` (retransmit-free wire injections — Tofu does not
   retransmit, so every injection counted here reached the wire).
 
+Distributions are :class:`~repro.obs.sketch.QuantileSketch` es — the
+same instrument the telemetry plane keeps — so no bucket table has to
+guess a value range up front.
+
 Like the tracer, the module-level :data:`METRICS` singleton starts
 disabled and every instrumentation site guards on ``METRICS.enabled``,
 keeping the disabled path free of any allocation or lookup.
@@ -21,16 +25,12 @@ keeping the disabled path free of any allocation or lookup.
 
 from __future__ import annotations
 
-import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import Any
 
-#: Default histogram buckets (upper bounds) for message payload sizes.
-SIZE_BUCKETS = (64.0, 256.0, 1024.0, 4096.0, 16384.0, 65536.0, 262144.0, 1048576.0)
-#: Default buckets for logical-torus hop counts (Table 1's ``hop`` column).
-HOP_BUCKETS = (1.0, 2.0, 3.0, 4.0, 6.0, 8.0)
-#: Default buckets for receive-ring occupancy (depth 4 rings, Fig. 10).
-OCCUPANCY_BUCKETS = (0.0, 1.0, 2.0, 3.0, 4.0, 8.0)
+from repro.obs.sketch import QuantileSketch
+from repro.obs.telemetry import EXPORT_QUANTILES
 
 
 def _label_key(labels: dict) -> tuple:
@@ -80,93 +80,12 @@ class Gauge:
         return f"{self.name}{_label_str(self.labels)} {self.value:g}"
 
 
-class Histogram:
-    """Fixed-bucket histogram (cumulative style: bucket = values <= bound).
-
-    Buckets are frozen at creation; an implicit ``+Inf`` bucket catches
-    everything above the last bound, so ``observe`` never fails.
-    """
-
-    def __init__(self, name: str, labels: dict, buckets: tuple[float, ...]) -> None:
-        if not buckets:
-            raise ValueError("histogram needs at least one bucket bound")
-        bounds = tuple(float(b) for b in buckets)
-        if list(bounds) != sorted(bounds):
-            raise ValueError(f"bucket bounds must be sorted, got {bounds}")
-        self.name = name
-        self.labels = dict(labels)
-        self.bounds = bounds
-        self.counts = [0] * (len(bounds) + 1)  # last slot is +Inf
-        self.total = 0.0
-        self.count = 0
-
-    def observe(self, value: float) -> None:
-        """Record one sample."""
-        self.count += 1
-        self.total += value
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                self.counts[i] += 1
-                return
-        self.counts[-1] += 1
-
-    @property
-    def mean(self) -> float:
-        """Average of all observed samples (0 when empty)."""
-        return self.total / self.count if self.count else 0.0
-
-    def percentile(self, q: float) -> float:
-        """Bucket-interpolated ``q``-th percentile (Prometheus-style).
-
-        Linear interpolation within the containing bucket, ``0`` as the
-        lower edge of the first bucket, and the last finite bound for
-        samples in the ``+Inf`` bucket.  An **empty histogram has no
-        percentiles**: returns ``nan`` (consistently, for every ``q``)
-        rather than letting an index error fall out — callers that need
-        a hard failure can check ``math.isnan``.
-        """
-        if not 0.0 <= q <= 100.0:
-            raise ValueError(f"percentile must be in [0, 100], got {q}")
-        if self.count == 0:
-            return math.nan
-        rank = q / 100.0 * self.count
-        cumulative = 0
-        lower = 0.0
-        for bound, n in zip(self.bounds, self.counts):
-            if cumulative + n >= rank and n > 0:
-                frac = (rank - cumulative) / n
-                return lower + frac * (bound - lower)
-            cumulative += n
-            lower = bound
-        # Sample lies in the +Inf bucket: the last finite bound is the
-        # best (and conventional) answer a fixed-bucket histogram has.
-        return self.bounds[-1]
-
-    def bucket_counts(self) -> list[tuple[float, int]]:
-        """(upper bound, count) pairs, ending with the +Inf bucket."""
-        out = [(b, c) for b, c in zip(self.bounds, self.counts)]
-        out.append((math.inf, self.counts[-1]))
-        return out
-
-    def render(self) -> str:
-        """Multi-line report block for this histogram."""
-        head = (
-            f"{self.name}{_label_str(self.labels)} "
-            f"count={self.count} sum={self.total:g} mean={self.mean:g}"
-        )
-        cells = []
-        for bound, n in self.bucket_counts():
-            label = "+Inf" if math.isinf(bound) else f"{bound:g}"
-            cells.append(f"<={label}:{n}")
-        return head + "\n    " + "  ".join(cells)
-
-
 class MetricsRegistry:
     """Create-on-first-use registry of named, labelled instruments."""
 
     def __init__(self, enabled: bool = False) -> None:
         self.enabled = enabled
-        self._metrics: dict[tuple, object] = {}
+        self._metrics: dict[tuple, Any] = {}
 
     def reset(self) -> None:
         """Drop every instrument."""
@@ -188,19 +107,21 @@ class MetricsRegistry:
         """The gauge ``name`` with these labels (created on first use)."""
         return self._get("gauge", name, labels, lambda: Gauge(name, labels))
 
-    def histogram(
-        self, name: str, buckets: tuple[float, ...] = SIZE_BUCKETS, **labels
-    ) -> Histogram:
-        """The histogram ``name``; ``buckets`` only applies at creation."""
-        return self._get("histogram", name, labels, lambda: Histogram(name, labels, buckets))
+    def histogram(self, name: str, **labels) -> QuantileSketch:
+        """The distribution ``name`` with these labels (created on first use)."""
+        return self._get("histogram", name, labels, QuantileSketch)
+
+    def _keys(self) -> list[tuple]:
+        # Sorted by (kind, name, labels): counters, gauges, then histograms.
+        return sorted(self._metrics, key=repr)
 
     def all_metrics(self) -> list:
         """Every instrument, sorted by (kind, name, labels) for stable output."""
-        return [self._metrics[k] for k in sorted(self._metrics, key=repr)]
+        return [self._metrics[k] for k in self._keys()]
 
     def find(self, name: str) -> list:
         """All instruments (any labels) registered under ``name``."""
-        return [m for m in self.all_metrics() if m.name == name]
+        return [self._metrics[k] for k in self._keys() if k[1] == name]
 
     def value(self, name: str, default: float = 0.0, **labels) -> float:
         """Current value of a counter/gauge, or ``default`` if absent."""
@@ -211,16 +132,23 @@ class MetricsRegistry:
         return default
 
     def render(self) -> str:
-        """Text report: counters and gauges first, then histogram blocks."""
+        """Text report: counters and gauges first, then histogram lines."""
         lines = ["metrics report:"]
-        scalars = [m for m in self.all_metrics() if isinstance(m, (Counter, Gauge))]
-        hists = [m for m in self.all_metrics() if isinstance(m, Histogram)]
-        if not scalars and not hists:
+        if not self._metrics:
             lines.append("  (no metrics recorded)")
-        for m in scalars:
-            lines.append("  " + m.render())
-        for h in hists:
-            lines.append("  " + h.render())
+        for key in self._keys():
+            kind, name, labels = key
+            inst = self._metrics[key]
+            if kind != "histogram":
+                lines.append("  " + inst.render())
+                continue
+            quantiles = " ".join(
+                f"p{round(q * 100)}={inst.quantile(q):g}" for q in EXPORT_QUANTILES
+            )
+            lines.append(
+                f"  {name}{_label_str(dict(labels))} "
+                f"count={inst.count} sum={inst.total:g} {quantiles}"
+            )
         return "\n".join(lines)
 
 

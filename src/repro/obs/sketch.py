@@ -21,11 +21,10 @@ Properties the tests pin down:
   count, and ``quantile(q)`` differs from the pooled-sample quantile at
   the same rank by at most ``rel_accuracy`` relatively.
 
-Unlike :class:`repro.obs.metrics.Histogram` (fixed absolute buckets,
-Prometheus-style interpolation), the sketch needs no a-priori value
-range — per-stage wall times span six orders of magnitude between a
-smoke test and a production run, and a fixed bucket table cannot serve
-both.
+The sketch needs no a-priori value range — per-stage wall times span
+six orders of magnitude between a smoke test and a production run, and
+a fixed bucket table cannot serve both — so it is also the histogram
+instrument of :class:`repro.obs.metrics.MetricsRegistry`.
 """
 
 from __future__ import annotations
@@ -124,11 +123,9 @@ class QuantileSketch:
     def percentiles(self, *qs: float) -> dict[float, float]:
         """Several quantiles in one call (keyed by ``q``).
 
-        Empty-distribution semantics are unified across the stack: on a
-        sketch with no samples every requested quantile maps to ``nan``,
-        exactly like :meth:`quantile` and
-        :meth:`repro.obs.metrics.Histogram.percentile`.  Out-of-range
-        ``q`` still raises — emptiness never masks a bad argument.
+        On a sketch with no samples every requested quantile maps to
+        ``nan``, exactly like :meth:`quantile`.  Out-of-range ``q`` still
+        raises — emptiness never masks a bad argument.
         """
         return {q: self.quantile(q) for q in qs}
 

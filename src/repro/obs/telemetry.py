@@ -1,12 +1,12 @@
 """Always-on telemetry: counters, sketches, and the flight recorder.
 
 The third observability tier.  The tracer and the metrics registry are
-*sessions* — heavyweight, per-event, and deliberately disabled on the
-exchange fast path (``GhostExchange._fastpath_ok``) because per-message
-spans/histograms cost more than the pooled replay they would observe.
-Telemetry is the tier production cannot turn off: **counter-shaped, not
-event-shaped** (the pMR lesson — per-connection/buffer accounting stays
-on the hot path when it is amortized), so enabling it forfeits nothing.
+*sessions* — heavyweight and per-event: they observe the exchange fast
+path from the per-phase records its replay already builds, so they cost
+per message but never change which path runs.  Telemetry is the tier
+production cannot turn off: **counter-shaped, not event-shaped** (the
+pMR lesson — per-connection/buffer accounting stays on the hot path
+when it is amortized), so enabling it costs almost nothing.
 
 The batching discipline:
 

@@ -29,8 +29,10 @@ float the timers accumulate), which is what lets
 from __future__ import annotations
 
 import time
+from collections.abc import Iterable
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 #: Clock identifiers for :class:`SpanRecord.clock`.
 WALL = "wall"
@@ -57,16 +59,20 @@ class SpanRecord:
         return self.ts + self.dur
 
 
-@dataclass
-class InstantRecord:
-    """A zero-duration event (e.g. one message leaving a rank)."""
+class InstantRecord(NamedTuple):
+    """A zero-duration event (e.g. one message leaving a rank).
+
+    A tuple, not a dataclass: traced runs hold one per message, and a
+    tuple of atoms is untracked by the cyclic garbage collector after
+    its first pass, so long traces do not slow every later collection.
+    """
 
     name: str
     cat: str
     ts: float
     clock: str
     track: str
-    args: dict = field(default_factory=dict)
+    args: dict
 
 
 class _NullSpan:
@@ -82,10 +88,6 @@ class _NullSpan:
 
 
 _NULL_SPAN = _NullSpan()
-
-#: Public no-op span: hot paths that guard on ``TRACER.enabled`` return
-#: this directly, skipping even the span-name/kwargs construction.
-NULL_SPAN = _NULL_SPAN
 
 
 class _OpenSpan:
@@ -256,6 +258,28 @@ class Tracer:
         if ts is None:
             ts = time.perf_counter() - self._epoch if clock == WALL else self.model_clock
         self.instants.append(InstantRecord(name, cat, ts, clock, track, args))
+
+    def instant_batch(self, cat: str, events: Iterable[tuple[str, str, dict]]) -> None:
+        """Record ``(name, track, args)`` wall instants, in order, at one time.
+
+        The batched form of :meth:`instant` for the per-message and
+        per-PUT events of one exchange phase; ``args`` dicts are stored
+        as given (callers may share them between batches, so consumers
+        must not mutate them).
+        """
+        if not self.enabled:
+            return
+        if self.sample_every > 1:
+            for name, track, args in events:
+                self.instant(name, cat, track, **args)
+            return
+        ts = time.perf_counter() - self._epoch
+        # tuple.__new__ skips the NamedTuple constructor frame: half the
+        # cost per record, and batches are the per-message hot path.
+        new = tuple.__new__
+        self.instants.extend(
+            [new(InstantRecord, (name, cat, ts, WALL, track, args)) for name, track, args in events]
+        )
 
     # -- queries -----------------------------------------------------------
     def spans_with(self, cat: str | None = None, clock: str | None = None) -> list[SpanRecord]:

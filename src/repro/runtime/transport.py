@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Any, Hashable
 
 from repro.faults.injector import FAULTS, HOLD, REORDER
-from repro.obs.metrics import METRICS, SIZE_BUCKETS
+from repro.obs.metrics import METRICS
 from repro.obs.trace import TRACER
 
 
@@ -54,6 +54,66 @@ class SentMessage:
     tag: Hashable
     nbytes: int
     phase: str = ""
+
+
+class MessageBatch:
+    """Message records observed together, with their trace events built once.
+
+    The plan replay re-sends identical traffic every step between
+    reneighborings, so it keeps one batch per phase and its ``msg`` /
+    ``recv`` event arguments are formatted only on first observation.
+    """
+
+    __slots__ = ("msgs", "_events")
+
+    def __init__(self, msgs: list[SentMessage]) -> None:
+        self.msgs = msgs
+        self._events: tuple[list, list] | None = None
+
+    def events(self) -> tuple[list, list]:
+        """(``msg`` events, ``recv`` events) as ``(name, track, args)``."""
+        if self._events is None:
+            self._events = (
+                [
+                    ("msg", f"rank{m.src}", {
+                        "src": m.src, "dst": m.dst, "phase": m.phase,
+                        "nbytes": m.nbytes, "tag": repr(m.tag),
+                    })
+                    for m in self.msgs
+                ],
+                [
+                    ("recv", f"rank{m.dst}", {"src": m.src, "dst": m.dst, "phase": m.phase})
+                    for m in self.msgs
+                ],
+            )
+        return self._events
+
+
+def observe_messages(batch: MessageBatch, sent: bool = True, received: bool = True) -> None:
+    """The one per-message observation point of every data path.
+
+    Emits a ``msg`` trace instant plus the ``messages_total`` /
+    ``message_size_bytes`` metrics per sent message, and a ``recv``
+    instant per delivered one (the race detector's message
+    synchronization edge from ``src`` to ``dst``).  The mailbox path
+    calls it per send and per receive; the plan replay calls it once
+    per phase with the records it appends to the :class:`TrafficLog`,
+    so a traced run observes exactly the path an untraced run executes.
+    """
+    if TRACER.enabled:
+        msg_events, recv_events = batch.events()
+        if sent:
+            TRACER.instant_batch("msg", msg_events)
+        if received:
+            TRACER.instant_batch("recv", recv_events)
+    if sent and METRICS.enabled:
+        sizes = METRICS.histogram("message_size_bytes")
+        per_phase: dict[str, int] = {}
+        for m in batch.msgs:
+            sizes.add(m.nbytes)
+            per_phase[m.phase] = per_phase.get(m.phase, 0) + 1
+        for phase, n in per_phase.items():
+            METRICS.counter("messages_total", phase=phase).inc(n)
 
 
 @dataclass
@@ -290,37 +350,25 @@ class Transport:
                 session.note_reorder(key)
             else:  # pragma: no cover - defensive
                 raise TransportError(f"unknown fault verdict {verdict!r}")
-        nbytes = _payload_nbytes(payload)
-        self.log.record(SentMessage(src, dst, tag, nbytes, self.phase))
-        if TRACER.enabled:
-            TRACER.instant(
-                "msg",
-                cat="msg",
-                track=f"rank{src}",
-                src=src,
-                dst=dst,
-                phase=self.phase,
-                nbytes=nbytes,
-                tag=repr(tag),
-            )
-        if METRICS.enabled:
-            METRICS.counter("messages_total", phase=self.phase).inc()
-            METRICS.histogram("message_size_bytes", buckets=SIZE_BUCKETS).observe(nbytes)
+        msg = SentMessage(src, dst, tag, _payload_nbytes(payload), self.phase)
+        self.log.record(msg)
+        observe_messages(MessageBatch([msg]), received=False)
 
     def send_fast(
         self, src: int, dst: int, tag: Hashable, payload: Any, nbytes: int
     ) -> None:
-        """Hot-path send: deposit + traffic record, nothing else.
+        """Hot-path send: deposit, traffic record and observation only.
 
-        Callers (the exchange fast path) guarantee no fault session is
-        active and tracing/metrics are disabled, and pass the payload
-        byte size resolved once at plan-build time — so the rank checks,
-        fault envelopes and per-message observability of :meth:`send`
-        are all skipped.  ``payload`` may be a zero-copy view of a
-        pooled buffer.
+        Callers (the exchange fast path) guarantee no message fault plane
+        is armed and pass the payload byte size resolved once at
+        plan-build time — so the rank checks and fault envelopes of
+        :meth:`send` are skipped.  ``payload`` may be a zero-copy view of
+        a pooled buffer.
         """
         self._boxes[(src, dst, tag)].append(payload)
-        self.log.record(SentMessage(src, dst, tag, nbytes, self.phase))
+        msg = SentMessage(src, dst, tag, nbytes, self.phase)
+        self.log.record(msg)
+        observe_messages(MessageBatch([msg]), received=False)
 
     def recv_fast(self, dst: int, src: int, tag: Hashable) -> Any:
         """Hot-path receive pairing :meth:`send_fast` (no fault session)."""
@@ -333,6 +381,7 @@ class Transport:
         payload = box.popleft()
         if type(payload) is _Envelope:  # pragma: no cover - defensive
             payload = payload.payload
+        self._note_recv(src, dst, tag)
         return payload
 
     @staticmethod
@@ -358,7 +407,7 @@ class Transport:
                 f"(phase {self.phase!r})"
             )
         payload = self._take(box)
-        self._note_recv(src, dst)
+        self._note_recv(src, dst, tag)
         return payload
 
     def try_recv(self, dst: int, src: int, tag: Hashable) -> Any | None:
@@ -367,16 +416,14 @@ class Transport:
         if not box:
             return None
         payload = self._take(box)
-        self._note_recv(src, dst)
+        self._note_recv(src, dst, tag)
         return payload
 
-    def _note_recv(self, src: int, dst: int) -> None:
-        """Record a delivery as a trace instant (the race detector's
-        message-synchronization edge from ``src`` to ``dst``)."""
+    def _note_recv(self, src: int, dst: int, tag: Hashable) -> None:
+        """Observe one delivery (skips building the record when untraced)."""
         if TRACER.enabled:
-            TRACER.instant(
-                "recv", cat="recv", track=f"rank{dst}",
-                src=src, dst=dst, phase=self.phase,
+            observe_messages(
+                MessageBatch([SentMessage(src, dst, tag, 0, self.phase)]), sent=False
             )
 
     def fault_poll(self, dst: int, src: int, tag: Hashable) -> None:

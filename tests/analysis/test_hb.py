@@ -177,6 +177,32 @@ class TestFaultReplay:
         assert report.clean, report.render()
         assert report.events_analyzed > 0
 
+    def test_clean_run_analyses_replayed_put_pairs(self):
+        """The fast path's forward RDMA deliveries reach the detector as PUTs."""
+        hbevents.reset()
+        sim = probe_sim()
+        ex = sim.exchange
+        forward_phases = []
+        orig = ex._forward_array
+
+        def counted(arrays, apply_shift, phase):
+            forward_phases.append(len(ex.routes[0].sends))
+            return orig(arrays, apply_shift, phase)
+
+        ex._forward_array = counted
+        with observe() as (tracer, metrics):
+            sim.run(6)
+            report = detect_races(tracer)
+        # Every rank sends along every shell offset, so each replayed
+        # forward phase moves one delivery per (rank, send route).
+        deliveries = sum(forward_phases) * sim.world.size
+        names = [e.name for e in tracer.instants if e.cat == "hb"]
+        assert ex.plan_stats()["slowpath_phases"] == 0
+        assert names.count("hb-put") == names.count("hb-land") == deliveries
+        assert "hb-write" not in names and "hb-read" not in names
+        assert metrics.value("rdma_puts_total") == deliveries
+        assert report.clean, report.render()
+
     def test_rdma_stale_plan_flags_forward_fence(self):
         hbevents.reset()
         with observe(metrics=False) as (tracer, _):

@@ -8,14 +8,17 @@ ways that could go wrong do not:
 * a *stale* plan surviving migration/reneighboring (epoch invalidation),
 * a *cached* replay differing from a freshly rebuilt one (paranoid
   per-step invalidation must be bit-identical),
-* the *fast* path (plans + pooled buffers) differing from the traced
-  slow path (per-route Python loops, the seed semantics).
+* the *fast* path (plans + pooled buffers) differing from the mailbox
+  slow path an armed message-fault plan selects (per-route Python
+  loops, the seed semantics).
 """
 
 import numpy as np
 
 from repro import LennardJones, Simulation, SimulationConfig
 from repro.core import P2PExchange
+from repro.faults.injector import FAULTS
+from repro.faults.plan import FaultPlan, FaultSpec, template_plan
 from repro.md import Box, Domain
 from repro.md.atoms import Atoms
 from repro.obs.trace import tracing
@@ -135,14 +138,69 @@ class TestPlanInvalidation:
             assert ghosts_a == ghosts_b
 
 
+def _run_faulted(sim, steps: int) -> None:
+    """Run on the mailbox path under an armed, fully absorbed plan."""
+    with FAULTS.inject(template_plan("reorder", seed=5)) as session:
+        sim.run(steps)
+    stats = session.stats
+    assert stats.total_injected() > 0
+    assert stats.unabsorbed == 0 and stats.degradations == 0
+    assert sim.exchange.plan_stats()["fastpath_phases"] == 0
+
+
+class TestPhaseAccounting:
+    """Every executed phase is counted once, under the path that ran it."""
+
+    @staticmethod
+    def _counted_run(plan, steps=8):
+        x, v, box = random_system(150, 16)
+        cfg = SimulationConfig(
+            dt=0.002, skin=0.3, pattern="p2p", rdma=True, neighbor_every=3
+        )
+        sim = Simulation(x, v, box, LennardJones(cutoff=1.55), cfg, grid=(2, 2, 2))
+        ex = sim.exchange
+        executed = []
+        for name in ("borders", "_forward_array", "_reverse_sum_array"):
+            def counted(*args, _orig=getattr(ex, name), _name=name, **kw):
+                executed.append(_name)
+                return _orig(*args, **kw)
+            setattr(ex, name, counted)
+        if plan is None:
+            sim.run(steps)
+        else:
+            with FAULTS.inject(plan) as session:
+                sim.run(steps)
+            assert session.stats.total_injected() > 0
+            assert session.stats.unabsorbed == 0
+            assert session.stats.degradations == 0
+        return ex.plan_stats(), len(executed)
+
+    def test_clean_run_is_all_fast(self):
+        stats, executed = self._counted_run(None)
+        assert stats["fastpath_phases"] == executed
+        assert stats["slowpath_phases"] == 0
+
+    def test_rdma_fault_plan_counts_each_phase_once(self):
+        plan = FaultPlan(
+            seed=3,
+            faults=(
+                FaultSpec(kind="rdma-stale", count=2, severity=1),
+                FaultSpec(kind="ring-stale", count=2, severity=1),
+            ),
+        )
+        stats, executed = self._counted_run(plan)
+        assert stats["fastpath_phases"] + stats["slowpath_phases"] == executed
+        assert stats["slowpath_phases"] == executed
+
+
 class TestFastSlowEquivalence:
     def test_traced_slow_path_is_bit_identical(self):
-        """TRACER on (slow per-route path) == TRACER off (fast path)."""
+        """Traced, message faults armed (slow per-route path) == fast path."""
         fast = _lj_sim(seed=15)
         slow = _lj_sim(seed=15)
         fast.run(6)
         with tracing():
-            slow.run(6)
+            _run_faulted(slow, 6)
         assert np.array_equal(fast.gather_positions(), slow.gather_positions())
         assert np.array_equal(fast.gather_forces(), slow.gather_forces())
 
@@ -157,8 +215,7 @@ class TestFastSlowEquivalence:
             (4, 4, 4), (2, 2, 2), pattern="p2p", rdma=False, thermo_every=0
         )
         fast.run(4)
-        with tracing():
-            slow.run(4)
+        _run_faulted(slow, 4)
         assert np.array_equal(fast.gather_positions(), slow.gather_positions())
         assert np.array_equal(fast.gather_forces(), slow.gather_forces())
 

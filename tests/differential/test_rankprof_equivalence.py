@@ -45,8 +45,8 @@ class TestGhostBitIdentity:
         ex_off.borders()
         ex_off.forward()
 
-        # Profiling must not count as an observability fast-path refusal.
-        assert ex_on._gate_blocks["observability"] == 0
+        # Profiling must not push any phase off the fast path.
+        assert ex_on.plan_stats()["slowpath_phases"] == 0
         for rank in range(w_on.size):
             a_on, a_off = ex_on.atoms_of(rank), ex_off.atoms_of(rank)
             assert np.array_equal(a_on.x, a_off.x)
@@ -72,6 +72,6 @@ class TestForceBitIdentity:
         off = Simulation(x, v, box, LennardJones(cutoff=cutoff), cfg, grid=grid)
         off.run(2)
 
-        assert on.exchange._gate_blocks["observability"] == 0
+        assert on.exchange.plan_stats()["slowpath_phases"] == 0
         assert np.array_equal(on.gather_forces(), off.gather_forces())
         assert np.array_equal(on.gather_positions(), off.gather_positions())

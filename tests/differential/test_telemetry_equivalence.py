@@ -5,8 +5,8 @@ The always-on telemetry plane must be a pure observer.  This drives the
 (``repro.scenarios``) with telemetry enabled against a
 telemetry-disabled control and requires **bit-identical** ghost regions
 and forces — the same equivalence bar the exchange variants themselves
-are held to — plus an untouched fast path (no observability gate
-refusals) while the plane is collecting.
+are held to — plus an untouched fast path (no phase on the slow path)
+while the plane is collecting.
 
 The fleet slice embeds the legacy hand-written 24-config grid (proven
 in ``test_exchange_equivalence.TestLegacyCoverage``); under
@@ -42,7 +42,7 @@ class TestGhostBitIdentity:
             ex_off = FineGrainedP2PExchange(w_off, d_off, rcomm=rcomm, newton=newton)
             ex_off.borders()
 
-        assert ex_on._gate_blocks["observability"] == 0
+        assert ex_on.plan_stats()["slowpath_phases"] == 0
         for rank in range(w_on.size):
             a_on, a_off = ex_on.atoms_of(rank), ex_off.atoms_of(rank)
             assert np.array_equal(a_on.x, a_off.x)
@@ -69,6 +69,6 @@ class TestForceBitIdentity:
 
         assert on.telemetry is not None and off.telemetry is None
         # Collecting telemetry must not push any phase off the fast path.
-        assert on.exchange._gate_blocks["observability"] == 0
+        assert on.exchange.plan_stats()["slowpath_phases"] == 0
         assert np.array_equal(on.gather_forces(), off.gather_forces())
         assert np.array_equal(on.gather_positions(), off.gather_positions())

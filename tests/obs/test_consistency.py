@@ -11,6 +11,7 @@ import pytest
 
 from repro import LennardJones, Simulation, SimulationConfig
 from repro.core.analytic import analyze_p2p, analyze_three_stage
+from repro.faults import FAULTS, FaultPlan, FaultSpec
 from repro.md.lattice import fcc_lattice, lj_density_to_cell, maxwell_velocities
 from repro.md.stages import Stage
 from repro.obs import observe
@@ -136,3 +137,48 @@ class TestRenderers:
         for phase, (count, nbytes) in parsed.items():
             s = log.summary(phase)
             assert (int(count), int(nbytes)) == (s.count, s.total_bytes)
+
+
+class TestReplayVsMailboxObservation:
+    """The plan replay is observed exactly like the mailbox/ring path."""
+
+    @staticmethod
+    def observed(armed):
+        edge = lj_density_to_cell(0.8442)
+        x, box = fcc_lattice((4, 4, 4), edge)
+        v = maxwell_velocities(x.shape[0], 1.44, seed=11)
+        cfg = SimulationConfig(pattern="p2p", rdma=True, neighbor_every=3)
+        # Armed planes that never fire: the slow path runs, nothing is perturbed.
+        plan = FaultPlan(
+            seed=1,
+            faults=(
+                FaultSpec(kind="drop", probability=0.0),
+                FaultSpec(kind="rdma-stale", probability=0.0),
+            ),
+        )
+        with observe() as (tracer, metrics):
+            sim = Simulation(x, v, box, LennardJones(cutoff=2.5), cfg, grid=(2, 2, 2))
+            if armed:
+                with FAULTS.inject(plan):
+                    sim.run(STEPS)
+            else:
+                sim.run(STEPS)
+            instants = {}
+            for e in tracer.instants:
+                if e.cat in ("msg", "recv") or e.name in ("hb-put", "hb-land"):
+                    key = (e.name, e.args.get("phase"))
+                    instants[key] = instants.get(key, 0) + 1
+            sizes = metrics.histogram("message_size_bytes")
+            counts = {
+                name: [m.value for m in metrics.find(name)]
+                for name in ("messages_total", "rdma_puts_total", "rdma_put_bytes_total")
+            }
+        return sim.exchange.plan_stats(), instants, counts, (sizes.count, sizes.total)
+
+    def test_same_instants_and_metrics_on_both_paths(self):
+        fast_stats, fast_instants, fast_counts, fast_sizes = self.observed(False)
+        slow_stats, slow_instants, slow_counts, slow_sizes = self.observed(True)
+        assert fast_stats["slowpath_phases"] == 0 and slow_stats["fastpath_phases"] == 0
+        assert fast_instants == slow_instants
+        assert fast_counts == slow_counts
+        assert fast_sizes == slow_sizes

@@ -5,14 +5,13 @@ import math
 import pytest
 
 from repro.obs.metrics import (
-    HOP_BUCKETS,
     METRICS,
     Counter,
     Gauge,
-    Histogram,
     MetricsRegistry,
     collecting,
 )
+from repro.obs.sketch import QuantileSketch
 
 
 class TestCounter:
@@ -41,75 +40,30 @@ class TestGauge:
 
 
 class TestHistogram:
-    def test_bucket_placement(self):
-        h = Histogram("hops", {}, HOP_BUCKETS)
-        for v in (1, 1, 2, 3, 100):
-            h.observe(v)
-        counts = dict(h.bucket_counts())
-        assert counts[1.0] == 2
-        assert counts[2.0] == 1
-        assert counts[3.0] == 1
-        assert counts[math.inf] == 1
-        assert h.count == 5
-        assert h.mean == pytest.approx(107 / 5)
-
-    def test_boundary_is_inclusive(self):
-        h = Histogram("x", {}, (10.0, 20.0))
-        h.observe(10.0)
-        assert dict(h.bucket_counts())[10.0] == 1
-
     def test_empty_mean_is_zero(self):
-        assert Histogram("x", {}, (1.0,)).mean == 0.0
-
-    def test_unsorted_bounds_rejected(self):
-        with pytest.raises(ValueError):
-            Histogram("x", {}, (2.0, 1.0))
-
-    def test_no_bounds_rejected(self):
-        with pytest.raises(ValueError):
-            Histogram("x", {}, ())
+        assert MetricsRegistry().histogram("x").mean == 0.0
 
 
 class TestHistogramPercentile:
     def test_empty_returns_nan_consistently(self):
-        h = Histogram("x", {}, (1.0, 2.0))
-        for q in (0.0, 50.0, 99.0, 100.0):
-            assert math.isnan(h.percentile(q))
+        h = MetricsRegistry().histogram("x")
+        for q in (0.0, 0.5, 0.99, 1.0):
+            assert math.isnan(h.quantile(q))
 
     def test_out_of_range_q_rejected(self):
-        h = Histogram("x", {}, (1.0,))
+        h = MetricsRegistry().histogram("x")
         with pytest.raises(ValueError):
-            h.percentile(-1)
+            h.quantile(-0.01)
         with pytest.raises(ValueError):
-            h.percentile(100.5)
-
-    def test_interpolates_within_bucket(self):
-        # 10 samples all landing in (0, 100]: median interpolates to 50.
-        h = Histogram("x", {}, (100.0, 200.0))
-        for _ in range(10):
-            h.observe(42.0)
-        assert h.percentile(50) == pytest.approx(50.0)
-        assert h.percentile(100) == pytest.approx(100.0)
-
-    def test_crosses_buckets(self):
-        h = Histogram("x", {}, (1.0, 2.0, 4.0))
-        for v in (0.5, 1.5, 3.0, 3.5):
-            h.observe(v)
-        # p25 tops out the first bucket, p75 lands inside (2, 4].
-        assert h.percentile(25) == pytest.approx(1.0)
-        assert 2.0 < h.percentile(75) <= 4.0
-
-    def test_overflow_bucket_clamps_to_last_bound(self):
-        h = Histogram("x", {}, (1.0, 2.0))
-        h.observe(1000.0)
-        assert h.percentile(99) == 2.0
+            h.quantile(1.005)
 
 
 class TestRegistry:
     def test_create_on_first_use_returns_same_instrument(self):
         r = MetricsRegistry()
         assert r.counter("a") is r.counter("a")
-        assert r.histogram("h", buckets=(1.0,)) is r.histogram("h")
+        assert r.histogram("h") is r.histogram("h")
+        assert isinstance(r.histogram("h"), QuantileSketch)
 
     def test_labels_distinguish_instruments(self):
         r = MetricsRegistry()
@@ -125,10 +79,10 @@ class TestRegistry:
     def test_render_lists_scalars_then_histograms(self):
         r = MetricsRegistry()
         r.counter("c").inc()
-        r.histogram("h", buckets=(1.0,)).observe(0.5)
+        r.histogram("h").add(0.5)
         text = r.render()
         assert text.index("c 1") < text.index("h count=1")
-        assert "<=+Inf:0" in text
+        assert "h count=1 sum=0.5 p50=0.5 p95=0.5 p99=0.5" in text
 
     def test_render_empty(self):
         assert "(no metrics recorded)" in MetricsRegistry().render()

@@ -205,12 +205,12 @@ class TestEmptyPercentiles:
         assert out[0.99] == sk.quantile(0.99)
 
     def test_histogram_empty_percentile_is_nan_too(self):
-        from repro.obs.metrics import Histogram
+        from repro.obs.metrics import MetricsRegistry
 
-        h = Histogram("x", {}, buckets=(1.0, 2.0))
-        assert math.isnan(h.percentile(50.0))
-        assert math.isnan(h.percentile(99.0))
+        h = MetricsRegistry().histogram("x")
+        assert math.isnan(h.quantile(0.5))
+        assert math.isnan(h.quantile(0.99))
         with pytest.raises(ValueError):
-            h.percentile(101.0)
-        h.observe(1.5)
-        assert not math.isnan(h.percentile(50.0))
+            h.quantile(1.01)
+        h.add(1.5)
+        assert not math.isnan(h.quantile(0.5))

@@ -8,13 +8,13 @@ import pytest
 from repro import LennardJones, Simulation, SimulationConfig
 from repro.faults import FAULTS, FaultPlan, FaultSpec, RetryPolicy
 from repro.md.lattice import fcc_lattice, lj_density_to_cell, maxwell_velocities
+from repro.obs import observe
 from repro.obs.telemetry import (
     AUTODUMP_EVENTS,
     TELEMETRY,
     StepTelemetry,
     get_telemetry,
 )
-from repro.obs.trace import TRACER
 
 CELLS = (4, 2, 2)
 GRID = (2, 1, 1)
@@ -163,17 +163,19 @@ class TestFlushIntegration:
     def test_telemetry_leaves_fastpath_on(self):
         sim = self.run_sim()
         assert sim.exchange.plan_stats()["fastpath_phases"] > 0
-        assert sim.exchange._gate_blocks["observability"] == 0
+        assert sim.exchange.plan_stats()["slowpath_phases"] == 0
 
-    def test_tracer_still_gates_fastpath(self):
-        prev = TRACER.enabled
-        TRACER.enabled = True
-        try:
-            sim = self.run_sim()
-        finally:
-            TRACER.enabled = prev
-        assert sim.exchange.plan_stats()["fastpath_phases"] == 0
-        assert sim.exchange._gate_blocks["observability"] > 0
+    @pytest.mark.parametrize("rdma", [False, True], ids=["msg", "rdma"])
+    def test_tracer_and_metrics_keep_fastpath(self, rdma):
+        with observe():
+            on = self.run_sim(rdma=rdma)
+        off = self.run_sim(rdma=rdma)
+        stats = on.exchange.plan_stats()
+        assert stats["slowpath_phases"] == 0
+        assert stats["fastpath_phases"] == off.exchange.plan_stats()["fastpath_phases"]
+        assert on.world.transport.log.messages == off.world.transport.log.messages
+        assert np.array_equal(on.gather_positions(), off.gather_positions())
+        assert np.array_equal(on.gather_forces(), off.gather_forces())
 
     def test_stage_sketch_sums_telescope_to_timers(self):
         sim = self.run_sim()

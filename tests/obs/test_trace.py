@@ -119,6 +119,29 @@ class TestRecording:
         assert [s.name for s in tracer.spans_with("stage", MODEL)] == ["m"]
         assert [e.name for e in tracer.instants_with("msg")] == ["i"]
 
+    def test_instant_batch_keeps_order_and_shares_one_time(self):
+        tracer = Tracer(enabled=True)
+        tracer.instant("before", cat="msg", track="rank0")
+        events = [("msg", "rank0", {"dst": 1}), ("recv", "rank1", {"src": 0})]
+        tracer.instant_batch("msg", events)
+        assert [(e.name, e.cat, e.track, e.args) for e in tracer.instants] == [
+            ("before", "msg", "rank0", {}),
+            ("msg", "msg", "rank0", {"dst": 1}),
+            ("recv", "msg", "rank1", {"src": 0}),
+        ]
+        first, second = tracer.instants[1:]
+        assert first.ts == second.ts >= tracer.instants[0].ts
+        assert first.clock == WALL
+
+    def test_instant_batch_honours_sampling_and_disable(self):
+        tracer = Tracer(enabled=True)
+        tracer.sample_every = 2
+        tracer.instant_batch("msg", [("m", "rank0", {"i": i}) for i in range(4)])
+        assert [e.args["i"] for e in tracer.instants] == [1, 3]
+        off = Tracer(enabled=False)
+        off.instant_batch("msg", [("m", "rank0", {})])
+        assert off.instants == []
+
 
 class TestRealRun:
     def run_sim(self, steps=8):
