@@ -16,11 +16,27 @@ communication account.
 from __future__ import annotations
 
 import argparse
+from typing import TYPE_CHECKING
 
 from repro import Simulation
 from repro.md import fcc_box_for_atoms
 from repro.md.domain import decompose_grid
 from repro.md.logfmt import format_run_summary
+
+if TYPE_CHECKING:
+    from repro.scenarios.validate import ValidationIssue
+
+
+def _at_least(low: int):
+    """argparse ``type=`` for an integer flag with a lower bound."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -35,13 +51,17 @@ def build_parser() -> argparse.ArgumentParser:
         "the system/potential flags below",
     )
     p.add_argument("--potential", choices=("lj", "eam"), default="lj")
-    p.add_argument("--atoms", type=int, default=4000, help="approximate atom count")
+    p.add_argument(
+        "--atoms", type=_at_least(4), default=4000, help="approximate atom count"
+    )
     p.add_argument("--steps", type=int, default=100)
     p.add_argument(
         "--ranks", type=int, nargs=3, metavar=("PX", "PY", "PZ"), default=None,
         help="rank grid; default: best factorization of --nranks",
     )
-    p.add_argument("--nranks", type=int, default=8, help="rank count if --ranks unset")
+    p.add_argument(
+        "--nranks", type=_at_least(1), default=8, help="rank count if --ranks unset"
+    )
     p.add_argument(
         "--pattern", choices=("3stage", "p2p", "parallel-p2p"), default="parallel-p2p"
     )
@@ -93,6 +113,51 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _preset_grid(args, cells: tuple[int, int, int]) -> tuple[int, int, int]:
+    """The rank grid of a preset run: ``--ranks``, else ``--nranks`` split."""
+    from repro.md.presets import PRESETS
+
+    if args.ranks:
+        return tuple(args.ranks)
+    edge = PRESETS[args.potential].cell_edge()
+    return decompose_grid(args.nranks, tuple(c * edge for c in cells))
+
+
+def preset_issues(args) -> list[ValidationIssue]:
+    """The fleet's L0–L2 checks on the run the preset flags describe.
+
+    The flags become a ``bench``-role scenario document (the shape the
+    fleet uses for preset runs), so a rank grid too fine for the ghost
+    shell is rejected with commlint's fixing hint before any atom is
+    built, instead of failing inside :class:`~repro.md.simulation.Simulation`.
+    """
+    from repro.scenarios.spec import SCENARIO_SCHEMA
+    from repro.scenarios.validate import validate_scenario
+
+    cells = fcc_box_for_atoms(args.atoms)
+    grid = _preset_grid(args, cells)
+    label = "x".join(str(g) for g in grid)
+    scenario = {
+        "schema": SCENARIO_SCHEMA,
+        "id": f"{args.potential}/{args.atoms}-atoms/g{label}/{args.pattern}",
+        "block": "cli",
+        "role": "bench",
+        "axes": {},
+        "params": {
+            "potential": args.potential,
+            "pattern": args.pattern,
+            "patterns": [args.pattern],
+            "grid": list(grid),
+            "cells": list(cells),
+            "rdma": args.rdma,
+            "newton": args.newton,
+        },
+        "seed": args.seed,
+        "tier": "full",
+    }
+    return validate_scenario(scenario, "L2")
+
+
 def build_simulation(args) -> Simulation:
     """Construct a Simulation from the parsed preset flags."""
     from repro.md.presets import PRESETS
@@ -100,7 +165,6 @@ def build_simulation(args) -> Simulation:
     preset = PRESETS[args.potential]
     cells = fcc_box_for_atoms(args.atoms)
     x, v, box = preset.build_system(cells, args.temperature, seed=args.seed)
-    grid = tuple(args.ranks) if args.ranks else decompose_grid(args.nranks, tuple(box.lengths))
     cfg = preset.config(
         pattern=args.pattern,
         rdma=args.rdma,
@@ -109,7 +173,14 @@ def build_simulation(args) -> Simulation:
         model_machine_time=args.model_time,
         seed=args.seed,
     )
-    return Simulation(x, v, box, preset.potential(), cfg, grid=grid)
+    return Simulation(x, v, box, preset.potential(), cfg, grid=_preset_grid(args, cells))
+
+
+def _rejected(issues: list[ValidationIssue]) -> int:
+    """Print each validation issue with its hint; the exit code of a bad config."""
+    for issue in issues:
+        print(issue.render())
+    return 2
 
 
 def build_telemetry_parser() -> argparse.ArgumentParser:
@@ -141,12 +212,12 @@ def build_telemetry_parser() -> argparse.ArgumentParser:
         help="serve-textfile: rewrite the textfile every N steps",
     )
     p.add_argument("--potential", choices=("lj", "eam"), default="lj")
-    p.add_argument("--atoms", type=int, default=2048)
+    p.add_argument("--atoms", type=_at_least(4), default=2048)
     p.add_argument("--steps", type=int, default=50)
     p.add_argument(
         "--ranks", type=int, nargs=3, metavar=("PX", "PY", "PZ"), default=None
     )
-    p.add_argument("--nranks", type=int, default=8)
+    p.add_argument("--nranks", type=_at_least(1), default=8)
     p.add_argument(
         "--pattern", choices=("3stage", "p2p", "parallel-p2p"), default="parallel-p2p"
     )
@@ -172,6 +243,9 @@ def telemetry_main(argv) -> int:
     from repro.obs.telemetry import TELEMETRY
 
     args = build_telemetry_parser().parse_args(argv)
+    issues = preset_issues(args)
+    if issues:
+        return _rejected(issues)
     action = "dump" if args.dump_flag else args.action
     output = args.output
     if output is None and action != "snapshot":
@@ -270,6 +344,10 @@ def main(argv=None) -> int:
 
         return verify_main(argv[1:])
     args = build_parser().parse_args(argv)
+    if not (args.selfcheck or args.input):
+        issues = preset_issues(args)
+        if issues:
+            return _rejected(issues)
     from repro.obs.telemetry import TELEMETRY
 
     TELEMETRY.enabled = args.telemetry

@@ -273,12 +273,7 @@ class GhostExchange:
         replayed phase never changes how it runs.
         """
         batch = self._phase_messages(phase, vec, forward)
-        log = self.world.transport.log
-        if log.max_messages is None:
-            log.messages.extend(batch.msgs)
-        else:
-            for m in batch.msgs:
-                log.record(m)
+        self.world.transport.log.extend(batch.msgs)
         observe_messages(batch)
 
     def plan_stats(self) -> dict[str, int]:

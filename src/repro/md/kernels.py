@@ -15,25 +15,32 @@ from __future__ import annotations
 import numpy as np
 
 
-def scatter_signed_vec(
-    out: np.ndarray, idx: np.ndarray, vec: np.ndarray, sign: int
+def scatter_signed(
+    out: np.ndarray, idx: np.ndarray, weights: np.ndarray, sign: int
 ) -> None:
-    """``out[idx] += sign * vec`` for (N, 3) arrays, bincount-accelerated.
+    """``out[idx] += sign * weights`` for a 1-D ``out``, bincount-accelerated.
 
-    The one signed reduction both force kernels and the communication
-    unpack path share; ``sign`` must be ``+1`` or ``-1``.  The add and
-    subtract branches are kept literal (``+=`` / ``-=``) so results stay
-    bit-identical to accumulating the un-negated weights directly.
+    The one signed reduction every force kernel and the communication
+    unpack path share; ``out`` may be a column view of an (N, 3) array,
+    which is how the per-axis kernels scatter.  ``sign`` must be ``+1``
+    or ``-1``.  The add and subtract branches are kept literal (``+=`` /
+    ``-=``) so results stay bit-identical to accumulating the un-negated
+    weights directly.
     """
     if idx.size == 0:
         return
-    n = out.shape[0]
     if sign >= 0:
-        for k in range(out.shape[1]):
-            out[:, k] += np.bincount(idx, weights=vec[:, k], minlength=n)
+        out += np.bincount(idx, weights=weights, minlength=out.shape[0])
     else:
-        for k in range(out.shape[1]):
-            out[:, k] -= np.bincount(idx, weights=vec[:, k], minlength=n)
+        out -= np.bincount(idx, weights=weights, minlength=out.shape[0])
+
+
+def scatter_signed_vec(
+    out: np.ndarray, idx: np.ndarray, vec: np.ndarray, sign: int
+) -> None:
+    """``out[idx] += sign * vec`` for (N, 3) arrays, one column at a time."""
+    for k in range(out.shape[1]):
+        scatter_signed(out[:, k], idx, vec[:, k], sign)
 
 
 def scatter_add_vec(out: np.ndarray, idx: np.ndarray, vec: np.ndarray) -> None:
@@ -48,6 +55,4 @@ def scatter_sub_vec(out: np.ndarray, idx: np.ndarray, vec: np.ndarray) -> None:
 
 def scatter_add_scalar(out: np.ndarray, idx: np.ndarray, values: np.ndarray) -> None:
     """``out[idx] += values`` for 1-D arrays (EAM density accumulation)."""
-    if idx.size == 0:
-        return
-    out += np.bincount(idx, weights=values, minlength=out.shape[0])
+    scatter_signed(out, idx, values, 1)

@@ -22,17 +22,38 @@ Two list flavors (paper section 4.4):
 * **full** — each local atom lists *all* its neighbors (Tersoff/DeePMD
   style); communication must then supply the full 26-neighbor shell.
 
-The builder is fully vectorized: atoms are binned into cells at least
-``r_comm`` wide, sorted by cell, and candidate pairs are generated per
-cell-offset with ``repeat``/cumsum arithmetic — no Python-level loop over
-atoms (per the HPC-Python guides, the hot path is NumPy end to end).
+The builder is fully vectorized (per the HPC-Python guides, the hot path
+is NumPy end to end, with no Python-level loop over atoms).  As in
+LAMMPS, whose default ``binsize`` is half the neighbor cutoff, atoms are
+binned into cells at least ``r_comm / 2`` wide and sorted by cell.  Cell
+ids run consecutively along z, so each (x, y) stencil column is one
+contiguous range of sorted atoms: a local atom reads 25 ranges instead
+of 125 per-cell rows, and cells wholly beyond ``r_comm`` (by their
+minimum cell-to-cell distance) are left out of the stencil.  The
+distance filter runs on contiguous per-axis copies of the sorted
+coordinates; only the surviving pairs are mapped back to atom indices.
+The cell grid is bounded by the atom count, so a sparse cloud or a flat
+slab widens its bins instead of asking for billions of cells.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+#: Bound on the bin grid: at most this many cells per atom (plus 27).
+_CELLS_PER_ATOM = 8
+#: Relative margin on the cutoff: bins come out a hair wider than half
+#: of it, so round-off never adds a third ring of cells, and a cell whose
+#: minimum distance sits within round-off of it stays in the stencil.
+_SLACK = 1.0 + 1e-9
+
+
+def _gap2(offset: np.ndarray, edge: float) -> np.ndarray:
+    """Squared minimum gap along one axis between cells ``offset`` apart."""
+    return (np.maximum(np.abs(offset) - 1, 0) * edge) ** 2
 
 
 def _ranges_to_indices(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -79,73 +100,67 @@ def build_pairs(
     lo = x.min(axis=0) - 1e-9
     hi = x.max(axis=0) + 1e-9
     span = np.maximum(hi - lo, 1e-12)
-    ncell = np.maximum((span // cutoff).astype(np.intp), 1)
-    cell_edge = span / ncell
-    cell3 = np.minimum((x - lo) // cell_edge, ncell - 1).astype(np.intp)
-    strides = np.array([ncell[1] * ncell[2], ncell[2], 1], dtype=np.intp)
-    cell_id = cell3 @ strides
-    total_cells = int(ncell.prod())
-
+    # Bins of at least half the cutoff, but never more than O(atoms) of
+    # them: a few atoms spread far apart widen their bins instead.
+    max_cells = _CELLS_PER_ATOM * n + 27
+    ncell = np.clip(span // (0.5 * cutoff * _SLACK), 1, max_cells).astype(np.intp)
+    while math.prod(ncell.tolist()) > max_cells:
+        ncell = np.maximum(ncell // 2, 1)
+    edge = span / ncell
+    # Cells within reach per axis; a flat axis (one cell) reaches none.
+    reach = np.minimum(np.ceil(cutoff / edge), ncell - 1).astype(np.intp)
+    nx, ny, nz = ncell.tolist()
+    cell3 = np.minimum((x - lo) // edge, ncell - 1).astype(np.intp)
+    cell_id = (cell3[:, 0] * ny + cell3[:, 1]) * nz + cell3[:, 2]
     order = np.argsort(cell_id, kind="stable")
-    sorted_cells = cell_id[order]
-    # One searchsorted gives every boundary: left edge of cell k is
-    # bounds[k], right edge is bounds[k + 1] (== left edge of k + 1 for
-    # integer ids).
-    bounds = np.searchsorted(sorted_cells, np.arange(total_cells + 1), side="left")
-    cell_start = bounds[:-1]
-    cell_end = bounds[1:]
+    # Left edge of cell k in sorted order is bounds[k], right edge bounds[k + 1].
+    bounds = np.searchsorted(cell_id[order], np.arange(nx * ny * nz + 1))
 
-    local_mask_sorted = order < nlocal
-
-    # All 27 stencil offsets processed in one batch.  The flattened
-    # (offset, atom) enumeration is offset-major with atoms ascending —
-    # exactly the order a per-offset loop would concatenate in, so the
-    # resulting pair list (and with it every downstream accumulation
-    # order) is unchanged.
-    offsets = np.array(
-        [
-            (ox, oy, oz)
-            for ox in (-1, 0, 1)
-            for oy in (-1, 0, 1)
-            for oz in (-1, 0, 1)
-        ],
-        dtype=np.intp,
+    # --- stencil: (x, y) columns, each with its own z reach ------------------
+    ox, oy = np.meshgrid(
+        np.arange(-reach[0], reach[0] + 1), np.arange(-reach[1], reach[1] + 1),
+        indexing="ij",
     )
-    sorted_cell3 = cell3[order]
-    ncell3 = sorted_cell3[None, :, :] + offsets[:, None, :]
-    valid = ((ncell3 >= 0) & (ncell3 < ncell)).all(axis=2)
-    # Only local atoms originate pairs.
-    valid &= local_mask_sorted[None, :]
-    flat = np.flatnonzero(valid.ravel())
-    if flat.size == 0:
-        e = np.empty(0, dtype=np.intp)
-        return e, e
-    nsorted = sorted_cell3.shape[0]
-    src = flat % nsorted
-    ncid = ncell3.reshape(-1, 3)[flat] @ strides
-    starts = cell_start[ncid]
-    counts = cell_end[ncid] - starts
+    ox, oy = ox.ravel(), oy.ravel()
+    reach2 = cutoff * cutoff * _SLACK
+    gap_xy = _gap2(ox, edge[0]) + _gap2(oy, edge[1])
+    gap_z = _gap2(np.arange(reach[2] + 1), edge[2])
+    zreach = (gap_xy[:, None] + gap_z[None, :] < reach2).sum(axis=1) - 1
+    col = zreach >= 0
+    ox, oy, zreach = ox[col], oy[col], zreach[col]
+
+    # --- one contiguous range per (local atom, column) -----------------------
+    src = np.flatnonzero(order < nlocal)  # sorted positions of local atoms
+    sc = cell3[order[src]]
+    cx = sc[:, 0:1] + ox
+    cy = sc[:, 1:2] + oy
+    inside = (cx >= 0) & (cx < nx) & (cy >= 0) & (cy < ny)
+    base = (cx * ny + cy) * nz
+    zlo = np.maximum(sc[:, 2:3] - zreach, 0)
+    zhi = np.minimum(sc[:, 2:3] + zreach, nz - 1)
+    starts = bounds[(base + zlo)[inside]]
+    counts = bounds[(base + zhi + 1)[inside]] - starts
+    rows = np.broadcast_to(src[:, None], inside.shape)[inside]
     have = counts > 0
-    src = src[have]
-    if src.size == 0:
-        e = np.empty(0, dtype=np.intp)
-        return e, e
-    starts = starts[have]
-    counts = counts[have]
-    i_sorted = np.repeat(src, counts)
+    starts, counts, rows = starts[have], counts[have], rows[have]
+    i_sorted = np.repeat(rows, counts)
     j_sorted = _ranges_to_indices(starts, counts)
-    i = order[i_sorted]
-    j = order[j_sorted]
 
-    # --- distance + pair rules ---------------------------------------------
-    keep = i != j
-    i, j = i[keep], j[keep]
-    d = x[i] - x[j]
-    keep = np.einsum("ij,ij->i", d, d) < cutoff * cutoff
-    i, j = i[keep], j[keep]
+    # --- distance filter on per-axis sorted coordinates ----------------------
+    r2 = np.zeros(j_sorted.size)
+    for xa in x[order].T.copy():
+        d = xa[j_sorted]
+        d -= xa[i_sorted]
+        d *= d
+        r2 += d
+    near = np.flatnonzero(r2 < cutoff * cutoff)
+    i = order[i_sorted[near]]
+    j = order[j_sorted[near]]
 
+    # --- pair rules ----------------------------------------------------------
     if not half:
-        return i, j
+        keep = i != j
+        return i[keep], j[keep]
 
     j_local = j < nlocal
     keep_local = j_local & (i < j)
@@ -178,8 +193,13 @@ def build_pairs_bruteforce(
     i, j = ii.ravel(), jj.ravel()
     keep = i != j
     i, j = i[keep], j[keep]
+    # Squared distance summed per axis, in the binned builder's order, so
+    # both agree on pairs within round-off of the cutoff.
     d = x[i] - x[j]
-    keep = np.einsum("ij,ij->i", d, d) < cutoff * cutoff
+    r2 = d[:, 0] * d[:, 0]
+    r2 += d[:, 1] * d[:, 1]
+    r2 += d[:, 2] * d[:, 2]
+    keep = r2 < cutoff * cutoff
     i, j = i[keep], j[keep]
     if not half:
         return i.astype(np.intp), j.astype(np.intp)

@@ -3,8 +3,10 @@
 ``U(r) = 4 eps [ (sigma/r)^12 - (sigma/r)^6 ]`` truncated at ``cutoff``
 (2.5 sigma in the benchmark) without shift, matching the LAMMPS bench
 input the paper uses.  The kernel is a single vectorized pass over the
-pair list with bincount-based scatter accumulation (see
-:mod:`repro.md.kernels`).
+pair list that works one axis at a time: the separations, ``r^2``, the
+per-pair force components and the bincount-based scatters (see
+:mod:`repro.md.kernels`) are 1-D arrays, never ``(m, 3)`` temporaries.
+The skin pairs beyond the force cutoff are dropped once, by index.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.md.atoms import Atoms
-from repro.md.kernels import scatter_add_vec, scatter_sub_vec
+from repro.md.kernels import scatter_signed
 from repro.md.potentials.base import ForceResult, GhostComm, PairPotential
 
 
@@ -107,8 +109,10 @@ class LennardJones(PairPotential):
         if pair_i.size == 0:
             return ForceResult()
 
-        d = x[pair_i] - x[pair_j]
-        r2 = np.einsum("ij,ij->i", d, d)
+        d = [xa[pair_i] - xa[pair_j] for xa in x.T]
+        r2 = d[0] * d[0]
+        r2 += d[1] * d[1]
+        r2 += d[2] * d[2]
 
         if self.n_types == 1:
             eps = self.epsilon
@@ -123,22 +127,22 @@ class LennardJones(PairPotential):
             cut = self._cut[ti, tj]
             cut2 = cut * cut
 
-        mask = r2 < cut2
-        i = pair_i[mask]
-        j = pair_j[mask]
-        d = d[mask]
-        r2 = r2[mask]
+        near = np.flatnonzero(r2 < cut2)
+        i = pair_i[near]
+        j = pair_j[near]
+        r2 = r2[near]
         if self.n_types != 1:
-            eps = eps[mask]
-            sig2 = sig2[mask]
+            eps = eps[near]
+            sig2 = sig2[near]
 
         sr2 = sig2 / r2
         sr6 = sr2 * sr2 * sr2
         fpair = 24.0 * eps * sr6 * (2.0 * sr6 - 1.0) / r2
-        fvec = fpair[:, None] * d
-        scatter_add_vec(f, i, fvec)
-        if half_list:
-            scatter_sub_vec(f, j, fvec)
+        for k in range(3):
+            w = fpair * d[k][near]
+            scatter_signed(f[:, k], i, w, 1)
+            if half_list:
+                scatter_signed(f[:, k], j, w, -1)
 
         e_pair = 4.0 * eps * (sr6 * sr6 - sr6)
         virial_pair = fpair * r2  # r . f per pair

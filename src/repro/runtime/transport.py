@@ -182,6 +182,16 @@ class TrafficLog:
             self._aggregate(msg)
             self._trim()
 
+    def extend(self, msgs: list[SentMessage]) -> None:
+        """Append many message records; totals and aggregates as :meth:`record`."""
+        self.messages.extend(msgs)
+        self.grand_total_count += len(msgs)
+        self.grand_total_bytes += sum(m.nbytes for m in msgs)
+        if self.max_messages is not None:
+            for m in msgs:
+                self._aggregate(m)
+            self._trim()
+
     def clear(self) -> None:
         """Drop all records (and aggregates)."""
         self.messages.clear()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import build_parser, build_simulation, main
+from repro.cli import build_parser, build_simulation, main, preset_issues
 from repro.md.logfmt import (
     format_breakdown,
     format_performance,
@@ -151,3 +151,38 @@ class TestObservabilityFlags:
         out = capsys.readouterr().out
         assert "repro self-check:" in out
         assert "# trace:" in out
+
+
+class TestFrontDoor:
+    """Preset flags pass the fleet's L0–L2 checks before any atom is built."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--atoms", "100"], ["--atoms", "200", "--ranks", "5", "1", "1"]],
+        ids=["default-ranks", "thin-slab-grid"],
+    )
+    def test_too_fine_grid_is_rejected_with_a_hint(self, argv, capsys):
+        rc = main(argv)
+        assert rc == 2
+        out = capsys.readouterr().out
+        assert "[L1:CL007]" in out
+        assert "hint: " in out and "coarsen the rank grid" in out
+        assert "# repro:" not in out  # no run started
+
+    def test_telemetry_command_shares_the_front_door(self, capsys):
+        rc = main(["telemetry", "--atoms", "100"])
+        assert rc == 2
+        assert "[L1:CL007]" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv", [["--atoms", "2"], ["--nranks", "0"]], ids=["atoms", "nranks"]
+    )
+    def test_out_of_range_counts_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "must be at least" in capsys.readouterr().err
+
+    def test_feasible_flags_pass(self):
+        args = build_parser().parse_args(["--atoms", "256", "--ranks", "2", "2", "2"])
+        assert preset_issues(args) == []

@@ -160,6 +160,19 @@ class TestFlushIntegration:
         assert t.counter_value("messages_total") == log.grand_total_count
         assert t.counter_value("message_bytes_total") == log.grand_total_bytes
 
+    @pytest.mark.parametrize("rdma", [False, True], ids=["msg", "rdma"])
+    def test_replayed_messages_reach_the_totals(self, rdma):
+        """The plan replay's records count toward the run totals."""
+        sim = self.run_sim(rdma=rdma)
+        stats = sim.exchange.plan_stats()
+        assert stats["fastpath_phases"] > 0 and stats["slowpath_phases"] == 0
+        log = sim.world.transport.log
+        assert log.max_messages is None
+        assert log.grand_total_count == log.count() == len(log.messages)
+        assert log.grand_total_bytes == log.total_bytes()
+        assert sim.telemetry.counter_value("messages_total") == log.count()
+        assert sim.telemetry.counter_value("message_bytes_total") == log.total_bytes()
+
     def test_telemetry_leaves_fastpath_on(self):
         sim = self.run_sim()
         assert sim.exchange.plan_stats()["fastpath_phases"] > 0

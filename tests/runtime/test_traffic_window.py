@@ -76,6 +76,39 @@ class TestRollingWindow:
         assert len(log.messages) == 120
 
 
+class TestBulkExtend:
+    """``extend`` (the plan replay's append) keeps what ``record`` keeps."""
+
+    def test_matches_per_message_record(self):
+        msgs = _msgs(200, seed=11)
+        for window in (None, 16):
+            bulk, single = TrafficLog(), TrafficLog()
+            bulk.set_window(window)
+            single.set_window(window)
+            for k in range(0, len(msgs), 37):
+                bulk.extend(msgs[k : k + 37])
+            for m in msgs:
+                single.record(m)
+            assert bulk.grand_total_count == single.grand_total_count == 200
+            assert bulk.grand_total_bytes == single.grand_total_bytes
+            for phase in (None, "border", "forward", "reverse"):
+                assert bulk.count(phase) == single.count(phase)
+                assert bulk.total_bytes(phase) == single.total_bytes(phase)
+                assert bulk.count_by_rank(phase) == single.count_by_rank(phase)
+                assert bulk.pairs(phase) == single.pairs(phase)
+            assert bulk.messages[-1] is msgs[-1]
+            if window is not None:
+                assert len(bulk.messages) <= 2 * window + 37
+
+    def test_totals_survive_clear(self):
+        log = TrafficLog()
+        log.extend(_msgs(30, seed=13))
+        log.clear()
+        log.extend(_msgs(20, seed=14))
+        assert log.count() == 20
+        assert log.grand_total_count == 50
+
+
 class TestSimulationKnobs:
     def test_traffic_window_config_bounds_the_log(self):
         from repro import quick_lj_simulation
